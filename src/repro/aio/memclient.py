@@ -77,9 +77,8 @@ class AsyncMemcachedClient:
         keys = tuple(keys)
         if not keys:
             return {}
-        name = "gets" if with_cas else "get"
         [resp] = await self._exchange_idempotent(
-            encode_command(Command(name=name, keys=keys))
+            encode_command("gets" if with_cas else "get", keys)
         )
         if resp.status != "END":
             raise ProtocolError(f"unexpected retrieval status: {resp.status}")

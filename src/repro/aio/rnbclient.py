@@ -136,12 +136,9 @@ class AsyncRnBClient:
             else None
         )
 
-        async def attempt():
-            return await conn.get_multi(keys)
-
         try:
             if self.retry_policy is None or getattr(conn, "policy", None) is not None:
-                got = await attempt()
+                got = await conn.get_multi(keys)
             else:
 
                 def _on_retry(attempt_no, exc):
@@ -151,7 +148,7 @@ class AsyncRnBClient:
                         self.health.record_error(sid)
 
                 got = await async_call_with_retries(
-                    attempt,
+                    lambda: conn.get_multi(keys),
                     self.retry_policy,
                     rng=self.rng,
                     sleep=self.sleep,

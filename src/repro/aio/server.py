@@ -109,7 +109,7 @@ class AsyncMemcachedServer:
                 pass
             return
         self.connections_accepted += 1
-        buf = b""
+        frames = codec.FrameBuffer()
         try:
             while True:
                 if self.gate is not None and self.gate():
@@ -120,20 +120,18 @@ class AsyncMemcachedServer:
                 chunk = await reader.read(65536)
                 if not chunk:
                     return
-                buf += chunk
+                frames.feed(chunk)
                 try:
-                    commands, buf = codec.parse_command_stream(buf)
+                    commands = frames.next_commands()
                 except ProtocolError:
                     writer.write(b"ERROR" + CRLF)
                     await writer.drain()
                     return
                 if not commands:
                     continue
-                out = bytearray()
-                for cmd in commands:
-                    out += self.backend.execute(cmd)
+                out = b"".join([self.backend.execute(cmd) for cmd in commands])
                 if out:
-                    writer.write(bytes(out))
+                    writer.write(out)
                     await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass  # client went away / server shutting down

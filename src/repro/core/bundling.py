@@ -39,7 +39,6 @@ from repro.perf.batchcover import (
     batch_masks,
 )
 from repro.types import FetchPlan, ItemId, Request, Transaction
-from repro.utils.bitset import iter_bits
 
 
 class Bundler:
@@ -140,7 +139,8 @@ class Bundler:
             self._record_plan(0)
             return FetchPlan(request=request, transactions=())
 
-        replica_sets = [self.placer.servers_for(item) for item in items]
+        servers_for = self.placer.servers_for
+        replica_sets = [servers_for(item) for item in items]
 
         # Build per-server bitmasks over request-local item indices.
         subsets: dict[int, int] = {}
@@ -159,11 +159,9 @@ class Bundler:
             allow_partial=bool(exclude),
         )
 
-        # server -> list of request-local indices assigned to it
-        assigned: dict[int, list[int]] = {
-            server: list(iter_bits(mask)) for server, mask in cover.assignment.items()
-        }
-        return self._finish(request, items, replica_sets, assigned, exclude)
+        return self._finish_masks(
+            request, items, replica_sets, cover.assignment.items(), exclude
+        )
 
     def plan_distinguished(
         self, request: Request, items: Sequence[ItemId] | None = None
@@ -247,22 +245,13 @@ class Bundler:
                 server_rows = servers.tolist()
                 bounds = offsets.tolist()
                 sizes = counts.tolist()
-                fast_finish = not self.hitchhiking
                 for row, i in enumerate(eligible):
                     request = requests[i]
                     lo = bounds[row]
                     replica_sets = server_rows[lo : lo + sizes[row]]
-                    if fast_finish:
-                        plans[i] = self._finish_masks(
-                            request, request.items, replica_sets, picks[row]
-                        )
-                    else:
-                        assigned = {
-                            server: list(iter_bits(mask)) for server, mask in picks[row]
-                        }
-                        plans[i] = self._finish(
-                            request, request.items, replica_sets, assigned, None
-                        )
+                    plans[i] = self._finish_masks(
+                        request, request.items, replica_sets, picks[row]
+                    )
         for i, plan in enumerate(plans):
             if plan is None:
                 plans[i] = self.plan(requests[i])
@@ -432,16 +421,23 @@ class Bundler:
         request: Request,
         items: Sequence[ItemId],
         replica_sets: Sequence[Sequence[int]],
-        picks: list[tuple[int, int]],
+        picks: Iterable[tuple[int, int]],
+        exclude: AbstractSet[int] | None = None,
     ) -> FetchPlan:
-        """Mask-native :meth:`_finish` for the no-hitchhiking batch path.
+        """Shared tail of planning: enhancements + transaction assembly.
 
         Operates on the cover's ``(server, assignment_mask)`` picks
-        directly — the single-item rule is one bit trick per pick
-        (``mask & (mask - 1)`` is zero exactly for singletons) and
-        transaction item lists decode straight from the merged masks.
-        Produces the identical :class:`FetchPlan` as ``_finish`` over the
-        decoded index lists (property-tested).
+        directly (request-local item indices as bits).  The single-item
+        rule is one bit trick per pick: ``mask & (mask - 1)`` is zero
+        exactly for singletons.  All singletons are collected before any
+        is placed, so two that share a distinguished server merge into
+        one two-item transaction rather than being processed
+        order-dependently; a redirected item never *misses*
+        (distinguished copies are pinned), so the redirection can only
+        reduce LRU pollution.  Under failures the redirection target is
+        the item's first *live* replica: a singleton is never sent to an
+        excluded server (its current assignment is live by construction,
+        so staying put is always a valid fallback).
         """
         merged: dict[int, int] = {}
         if self.single_item_rule:
@@ -452,108 +448,43 @@ class Bundler:
                 else:
                     singles.append(mask)
             for mask in singles:
-                home = replica_sets[mask.bit_length() - 1][0]
+                replicas = replica_sets[mask.bit_length() - 1]
+                if exclude:
+                    home = next(s for s in replicas if s not in exclude)
+                else:
+                    home = replicas[0]
                 merged[home] = merged.get(home, 0) | mask
         else:
             merged.update(picks)
 
+        # hitchhikers: requested items with a logical replica on the
+        # transaction's server that are not already assigned to it
+        held: dict[int, int] = {}
+        if self.hitchhiking:
+            for idx, servers in enumerate(replica_sets):
+                bit = 1 << idx
+                for s in servers:
+                    held[s] = held.get(s, 0) | bit
         transactions = []
         for server in sorted(merged):
             mask = merged[server]
-            primary = []
-            while mask:
-                low = mask & -mask
-                primary.append(items[low.bit_length() - 1])
-                mask ^= low
-            transactions.append(Transaction(server=server, primary=tuple(primary)))
-        self._record_plan(len(transactions))
-        return FetchPlan(request=request, transactions=tuple(transactions))
-
-    def _finish(
-        self,
-        request: Request,
-        items: Sequence[ItemId],
-        replica_sets: Sequence[Sequence[int]],
-        assigned: dict[int, list[int]],
-        exclude: AbstractSet[int] | None,
-    ) -> FetchPlan:
-        """Shared tail of planning: enhancements + transaction assembly."""
-        if self.single_item_rule:
-            assigned = self._apply_single_item_rule(
-                assigned, replica_sets, exclude=exclude
-            )
-
-        transactions = []
-        for server in sorted(assigned):
-            idxs = assigned[server]
-            if not idxs:
-                continue
-            primary = tuple(items[i] for i in idxs)
             hitchhikers: tuple[ItemId, ...] = ()
-            if self.hitchhiking:
-                hitchhikers = self._hitchhikers_for(server, idxs, items, replica_sets)
+            if held:
+                hitchhikers = _items_at(held[server] & ~mask, items)
             transactions.append(
-                Transaction(server=server, primary=primary, hitchhikers=hitchhikers)
+                Transaction(
+                    server=server, primary=_items_at(mask, items), hitchhikers=hitchhikers
+                )
             )
         self._record_plan(len(transactions))
         return FetchPlan(request=request, transactions=tuple(transactions))
 
-    # -- enhancements --------------------------------------------------------
 
-    def _apply_single_item_rule(
-        self,
-        assigned: dict[int, list[int]],
-        replica_sets: Sequence[Sequence[int]],
-        *,
-        exclude: AbstractSet[int] | None = None,
-    ) -> dict[int, list[int]]:
-        """Redirect un-bundled (single-item) transactions to distinguished copies.
-
-        Done as a single pass: first collect all singletons, then place
-        each on its item's distinguished server.  Collecting first means
-        two singletons that share a distinguished server merge into one
-        two-item transaction rather than being processed order-dependently.
-        A redirected item never *misses* (distinguished copies are pinned),
-        so the redirection can only reduce LRU pollution.
-
-        Under failures the redirection target is the item's first *live*
-        replica: a singleton is never sent to an excluded server (its
-        current assignment is live by construction, so staying put is
-        always a valid fallback).
-        """
-        singles: list[int] = []
-        kept: dict[int, list[int]] = {}
-        for server, idxs in assigned.items():
-            if len(idxs) == 1:
-                singles.append(idxs[0])
-            else:
-                kept[server] = list(idxs)
-        if not singles:
-            return assigned
-        moved = defaultdict(list, kept)
-        for idx in singles:
-            if exclude:
-                home = next(s for s in replica_sets[idx] if s not in exclude)
-            else:
-                home = replica_sets[idx][0]
-            moved[home].append(idx)
-        # keep item order stable within each transaction
-        return {s: sorted(v) for s, v in moved.items()}
-
-    def _hitchhikers_for(
-        self,
-        server: int,
-        primary_idxs: Sequence[int],
-        items: Sequence[ItemId],
-        replica_sets: Sequence[Sequence[int]],
-    ) -> tuple[ItemId, ...]:
-        """Requested items with a logical replica on ``server`` not already
-        assigned to it."""
-        primary_set = set(primary_idxs)
-        out: list[ItemId] = []
-        for idx, servers in enumerate(replica_sets):
-            if idx in primary_set:
-                continue
-            if server in servers:
-                out.append(items[idx])
-        return tuple(out)
+def _items_at(mask: int, items: Sequence[ItemId]) -> tuple[ItemId, ...]:
+    """The items at the set bits of ``mask``, lowest index first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)

@@ -16,7 +16,9 @@ test pins the two against each other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import ProtocolError
 
@@ -61,11 +63,35 @@ class Response:
     stats: dict[str, str] = field(default_factory=dict)
 
 
+#: any character memcached allows in a key: not a control character,
+#: space or DEL
+_KEY_CHAR = "[^\\x00-\\x20\\x7f]"
+_KEY = re.compile(f"{_KEY_CHAR}{{1,{MAX_KEY_LEN}}}")
+#: a retrieval's keys joined by single spaces
+_KEY_LIST = re.compile(f"{_KEY.pattern}(?: {_KEY.pattern})*")
+
+
 def _validate_key(key: str) -> None:
-    if not key or len(key) > MAX_KEY_LEN:
-        raise ProtocolError(f"invalid key length: {len(key)}")
-    if any(c <= " " or c == "\x7f" for c in key):
+    if _KEY.fullmatch(key) is None:
+        if not key or len(key) > MAX_KEY_LEN:
+            raise ProtocolError(f"invalid key length: {len(key)}")
         raise ProtocolError(f"key contains control characters or spaces: {key!r}")
+
+
+def _validate_keys(keys: Sequence[str]) -> str:
+    """Check every key of a retrieval in one scan; returns them space-joined.
+
+    The joined line matches :data:`_KEY_LIST` with exactly
+    ``len(keys) - 1`` spaces iff every key passes :func:`_validate_key`
+    (a key holding a space adds one).  On failure the keys are checked
+    one by one, so the error names the offending key.
+    """
+    line = " ".join(keys)
+    if _KEY_LIST.fullmatch(line) is None or line.count(" ") != len(keys) - 1:
+        for key in keys:
+            _validate_key(key)
+        raise ProtocolError("retrieval needs at least one key")
+    return line
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +99,23 @@ def _validate_key(key: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def encode_command(cmd: Command) -> bytes:
-    """Serialise a command to wire bytes."""
-    name = cmd.name
+def encode_command(cmd: Command | str, keys: Sequence[str] = ()) -> bytes:
+    """Serialise a command to wire bytes.
+
+    ``cmd`` is a :class:`Command`, or the name of a retrieval command
+    (``get``/``gets``) with its ``keys``: a per-transaction multi-get has
+    nothing else to encode, so it need not build a :class:`Command`.
+    """
+    if isinstance(cmd, str):
+        name = cmd
+        if name not in RETRIEVAL_COMMANDS:
+            raise ProtocolError(f"{name!r} is not a retrieval command")
+    else:
+        name, keys = cmd.name, cmd.keys
     if name in RETRIEVAL_COMMANDS:
-        if not cmd.keys:
+        if not keys:
             raise ProtocolError(f"{name} needs at least one key")
-        for k in cmd.keys:
-            _validate_key(k)
-        return (name + " " + " ".join(cmd.keys)).encode() + CRLF
+        return f"{name} {_validate_keys(keys)}\r\n".encode()
     if name in STORAGE_COMMANDS:
         if len(cmd.keys) != 1:
             raise ProtocolError(f"{name} takes exactly one key")
@@ -142,6 +176,12 @@ _TERMINAL_TOKENS = frozenset(
 )
 
 
+#: the lines of a retrieval reply, ``VALUE <key> <flags> <bytes> [<cas>]``
+#: and the terminal ``END``: each is parsed by this one match at its
+#: offset; a line starting ``VALUE`` that does not match it is malformed
+_RETRIEVAL_LINE = re.compile(rb"VALUE (\S+) (\d+) (\d+)(?: (\d+))?\r\n|END\r\n")
+
+
 def parse_response_at(
     data: bytes, pos: int = 0, *, view: memoryview | None = None
 ) -> tuple[Response, int]:
@@ -161,7 +201,30 @@ def parse_response_at(
     values: dict[str, tuple[int, bytes | memoryview, int | None]] = {}
     stats: dict[str, str] = {}
     n_data = len(data)
+    match_line = _RETRIEVAL_LINE.match
     while True:
+        m = match_line(data, pos)
+        if m is not None:
+            key, flags, nbytes, cas = m.groups()
+            line_end = m.end()
+            if key is None:
+                return Response(status="END", values=values, stats=stats), line_end
+            body_end = line_end + int(nbytes)
+            if not data.startswith(CRLF, body_end):
+                if n_data < body_end + 2:
+                    raise IncompleteResponse("value data incomplete")
+                raise ProtocolError("value data not CRLF-terminated")
+            if view is not None:
+                payload: bytes | memoryview = view[line_end:body_end]
+            else:
+                payload = data[line_end:body_end]
+            values[key.decode("utf-8", "replace")] = (
+                int(flags),
+                payload,
+                None if cas is None else int(cas),
+            )
+            pos = body_end + 2
+            continue
         eol = data.find(CRLF, pos)
         if eol < 0:
             raise IncompleteResponse("response line incomplete")
@@ -169,23 +232,7 @@ def parse_response_at(
         token = text.split(" ", 1)[0]
         line_end = eol + 2
         if token == "VALUE":
-            parts = text.split()
-            if len(parts) not in (4, 5):
-                raise ProtocolError(f"malformed VALUE line: {text!r}")
-            key, flags, nbytes = parts[1], int(parts[2]), int(parts[3])
-            cas = int(parts[4]) if len(parts) == 5 else None
-            body_end = line_end + nbytes
-            if n_data < body_end + 2:
-                raise IncompleteResponse("value data incomplete")
-            if data[body_end : body_end + 2] != CRLF:
-                raise ProtocolError("value data not CRLF-terminated")
-            if view is not None:
-                payload: bytes | memoryview = view[line_end:body_end]
-            else:
-                payload = data[line_end:body_end]
-            values[key] = (flags, payload, cas)
-            pos = body_end + 2
-            continue
+            raise ProtocolError(f"malformed VALUE line: {text!r}")
         if token == "STAT":
             parts = text.split(" ", 2)
             if len(parts) != 3:
@@ -222,14 +269,18 @@ class IncompleteResponse(ProtocolError):
 
 
 class FrameBuffer:
-    """Incremental response framing with zero-copy VALUE payloads.
+    """Incremental framing of a byte stream: responses or commands.
 
     Transports feed raw socket chunks in; :meth:`next_response` parses
-    out one complete response at a time, returning ``None`` when more
-    bytes are needed.  Internally the unconsumed bytes are tracked as an
-    (immutable snapshot, offset) pair plus a list of not-yet-joined
-    chunks, so pipelined response streams parse with one join per read
-    instead of one whole-buffer copy per value block.
+    out one complete response at a time (the client side) and
+    :meth:`next_commands` every complete pipelined command (the server
+    side), returning ``None`` / ``[]`` when more bytes are needed.
+    Internally the unconsumed bytes are tracked as an (immutable
+    snapshot, offset) pair plus a list of not-yet-joined chunks, so
+    pipelined streams parse with one join per read instead of one
+    whole-buffer copy per frame.  While a command's declared data block
+    is still arriving, chunks are not joined at all until it is complete,
+    so a large storage command costs one copy, not one per read.
 
     VALUE payloads are ``memoryview`` slices into the immutable
     snapshot (``zero_copy=True``, the default): no per-item bytes copy
@@ -241,20 +292,25 @@ class FrameBuffer:
     exactly that unless asked for ``raw`` views.
     """
 
-    __slots__ = ("_data", "_pos", "_chunks")
+    __slots__ = ("_data", "_pos", "_chunks", "_n_chunked", "_need")
 
     def __init__(self) -> None:
         self._data = b""
         self._pos = 0
         self._chunks: list[bytes] = []
+        #: bytes held in ``_chunks``
+        self._n_chunked = 0
+        #: unconsumed bytes the next command needs before a parse can succeed
+        self._need = 0
 
     def feed(self, chunk: bytes) -> None:
         """Append raw received bytes (joined lazily on next parse)."""
         if chunk:
             self._chunks.append(bytes(chunk))
+            self._n_chunked += len(chunk)
 
     def __len__(self) -> int:
-        return (len(self._data) - self._pos) + sum(len(c) for c in self._chunks)
+        return (len(self._data) - self._pos) + self._n_chunked
 
     def peek(self, n: int) -> bytes:
         """Up to ``n`` unconsumed bytes (for error messages)."""
@@ -265,6 +321,8 @@ class FrameBuffer:
         self._data = b""
         self._pos = 0
         self._chunks.clear()
+        self._n_chunked = 0
+        self._need = 0
 
     def _consolidate(self) -> None:
         if not self._chunks:
@@ -278,6 +336,7 @@ class FrameBuffer:
             self._data = b"".join(self._chunks)
         self._pos = 0
         self._chunks.clear()
+        self._n_chunked = 0
 
     def next_response(self, *, zero_copy: bool = True) -> Response | None:
         """Parse one response if complete, else ``None``.
@@ -298,6 +357,19 @@ class FrameBuffer:
         self._pos = end
         return resp
 
+    def next_commands(self) -> list[Command]:
+        """Parse every complete command buffered so far (maybe none).
+
+        Raises :class:`repro.errors.ProtocolError` on a malformed command.
+        """
+        if len(self) < self._need:
+            return []
+        self._consolidate()
+        commands, tail = parse_command_stream(self._data)
+        self._data = tail
+        self._need = _parse_commands(tail)[2] if tail else 0
+        return commands
+
 
 # ---------------------------------------------------------------------------
 # server side: parse commands / format responses
@@ -309,26 +381,37 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
 
     Returns (commands, unconsumed tail).
     """
+    commands, pos, _ = _parse_commands(data)
+    return commands, data[pos:]
+
+
+def _parse_commands(data: bytes) -> tuple[list[Command], int, int]:
+    """Parse the complete commands at the start of ``data``.
+
+    Returns ``(commands, end, need)``: ``end`` is the offset of the first
+    unparsed byte, and the command starting there cannot complete before
+    ``data`` is ``need`` bytes long (the end of a storage command's data
+    block, or one more byte while its line is unterminated).
+    """
     commands: list[Command] = []
     pos = 0
     n_data = len(data)
     while True:
         eol = data.find(CRLF, pos)
         if eol < 0:
-            return commands, data[pos:]
+            return commands, pos, n_data + 1
         text = data[pos:eol].decode("utf-8", errors="replace")
         line_end = eol + 2
-        if not text.strip():
+        parts = text.split()
+        if not parts:
             pos = line_end
             continue
-        parts = text.split()
         name = parts[0]
         if name in RETRIEVAL_COMMANDS:
             keys = tuple(parts[1:])
             if not keys:
                 raise ProtocolError(f"{name} without keys")
-            for k in keys:
-                _validate_key(k)
+            _validate_keys(keys)
             commands.append(Command(name=name, keys=keys))
             pos = line_end
             continue
@@ -346,7 +429,7 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
                 raise ProtocolError("negative data length")
             body_end = line_end + nbytes
             if n_data < body_end + 2:
-                return commands, data[pos:]  # wait for the data block
+                return commands, pos, body_end + 2  # wait for the data block
             if data[body_end : body_end + 2] != CRLF:
                 raise ProtocolError("storage data not CRLF-terminated")
             # data blocks stay bytes copies: the server stores them past
@@ -420,16 +503,23 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
         raise ProtocolError(f"unknown command: {text!r}")
 
 
+def format_value(key: str, flags: int, payload: bytes, cas: int | None = None) -> bytes:
+    """One VALUE block of a retrieval response (``cas`` for ``gets``)."""
+    if cas is None:
+        header = f"VALUE {key} {flags} {len(payload)}\r\n"
+    else:
+        header = f"VALUE {key} {flags} {len(payload)} {cas}\r\n"
+    return header.encode() + payload + CRLF
+
+
 def format_values(items: list[tuple[str, int, bytes, int | None]], with_cas: bool) -> bytes:
     """Format a retrieval response (VALUE blocks + END)."""
-    out = bytearray()
-    for key, flags, payload, cas in items:
-        header = f"VALUE {key} {flags} {len(payload)}"
-        if with_cas:
-            header += f" {cas}"
-        out += header.encode() + CRLF + payload + CRLF
-    out += b"END" + CRLF
-    return bytes(out)
+    out = [
+        format_value(key, flags, payload, cas if with_cas else None)
+        for key, flags, payload, cas in items
+    ]
+    out.append(b"END" + CRLF)
+    return b"".join(out)
 
 
 def format_status(status: str) -> bytes:

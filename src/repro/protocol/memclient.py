@@ -95,8 +95,9 @@ class MemcachedConnection:
         keys = tuple(keys)
         if not keys:
             return {}
-        name = "gets" if with_cas else "get"
-        [resp] = self._exchange_idempotent(encode_command(Command(name=name, keys=keys)))
+        [resp] = self._exchange_idempotent(
+            encode_command("gets" if with_cas else "get", keys)
+        )
         if resp.status != "END":
             raise ProtocolError(f"unexpected retrieval status: {resp.status}")
         self.transactions += 1

@@ -41,6 +41,10 @@ class _Entry:
     flags: int
     data: bytes
     cas: int
+    #: the entry's ``get`` reply, ``VALUE <key> <flags> <len>\r\n<data>\r\n``,
+    #: rendered once when stored (memcached likewise keeps the item header
+    #: with the item); byte accounting stays on ``len(data)``
+    block: bytes
     expires_at: float | None = None
 
     @property
@@ -137,6 +141,7 @@ class MemcachedServer:
             flags=flags,
             data=data,
             cas=self._cas_counter,
+            block=codec.format_value(key, flags, data),
             expires_at=self._expiry(exptime),
         )
         self._bytes += len(data)
@@ -165,21 +170,34 @@ class MemcachedServer:
         with self._lock:
             return self._execute_locked(cmd)
 
+    def _count_get(self, hits: int, n_keys: int) -> None:
+        stats = self.stats
+        stats["cmd_get"] += 1
+        stats["get_hits"] += hits
+        stats["get_misses"] += n_keys - hits
+
     def _execute_locked(self, cmd: Command) -> bytes:
         self.stats["total_transactions"] += 1
         name = cmd.name
-        if name in ("get", "gets"):
-            self.stats["cmd_get"] += 1
+        if name == "get":
+            blocks = []
+            for key in cmd.keys:
+                entry = self._get_live(key)
+                if entry is not None:
+                    self._items.move_to_end(key)
+                    blocks.append(entry.block)
+            self._count_get(len(blocks), len(cmd.keys))
+            blocks.append(b"END" + CRLF)
+            return b"".join(blocks)
+        if name == "gets":
             found: list[tuple[str, int, bytes, int | None]] = []
             for key in cmd.keys:
                 entry = self._get_live(key)
-                if entry is None:
-                    self.stats["get_misses"] += 1
-                    continue
-                self._items.move_to_end(key)
-                self.stats["get_hits"] += 1
-                found.append((key, entry.flags, entry.data, entry.cas))
-            return codec.format_values(found, with_cas=(name == "gets"))
+                if entry is not None:
+                    self._items.move_to_end(key)
+                    found.append((key, entry.flags, entry.data, entry.cas))
+            self._count_get(len(found), len(cmd.keys))
+            return codec.format_values(found, with_cas=True)
         if name == "set":
             self.stats["cmd_set"] += 1
             self._store(cmd.keys[0], cmd.flags, cmd.data, cmd.exptime)
@@ -311,10 +329,7 @@ class MemcachedServer:
         commands, tail = codec.parse_command_stream(data)
         if tail:
             raise ProtocolError("trailing bytes: incomplete command in request")
-        out = bytearray()
-        for cmd in commands:
-            out += self.execute(cmd)
-        return bytes(out)
+        return b"".join([self.execute(cmd) for cmd in commands])
 
     # -- introspection -------------------------------------------------------------
 
@@ -362,14 +377,14 @@ class MemcachedServer:
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised in the live example
-        buf = b""
+        frames = codec.FrameBuffer()
         while True:
             chunk = self.request.recv(65536)
             if not chunk:
                 return
-            buf += chunk
+            frames.feed(chunk)
             try:
-                commands, buf = codec.parse_command_stream(buf)
+                commands = frames.next_commands()
             except ProtocolError:
                 self.request.sendall(b"ERROR" + CRLF)
                 return

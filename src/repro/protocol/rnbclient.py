@@ -227,12 +227,9 @@ class RnBProtocolClient:
             else None
         )
 
-        def attempt():
-            return conn.get_multi(keys)
-
         try:
             if self.retry_policy is None or getattr(conn, "policy", None) is not None:
-                got = attempt()
+                got = conn.get_multi(keys)
             else:
 
                 def _on_retry(attempt_no, exc):
@@ -242,7 +239,7 @@ class RnBProtocolClient:
                         self.health.record_error(sid)
 
                 got = call_with_retries(
-                    attempt,
+                    lambda: conn.get_multi(keys),
                     self.retry_policy,
                     rng=self.rng,
                     sleep=self.sleep,
@@ -426,7 +423,9 @@ class RnBProtocolClient:
         ]
         while len(outcome.values) < required:
             groups: dict[int, list[str]] = defaultdict(list)
-            for key in list(pending):
+            # sorted, not set order: which keys a LIMIT quota keeps must
+            # not depend on PYTHONHASHSEED
+            for key in sorted(pending):
                 candidates = [
                     s
                     for s in self.placer.servers_for(key)

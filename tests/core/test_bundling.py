@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bundling import Bundler
+from repro.core.setcover import greedy_partial_cover
 from repro.hashing.rch import RangedConsistentHashPlacer
-from repro.types import ReplicaSet, Request
+from repro.types import FetchPlan, ReplicaSet, Request, Transaction
+from repro.utils.bitset import iter_bits
 
 
 class FixedPlacer:
@@ -177,3 +181,72 @@ class TestLimitPlans:
         bundler = Bundler(placer, tie_break="random")  # no rng
         with pytest.raises(ValueError):
             bundler.plan(Request(items=(1, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the mask-native finisher against the list-based one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_plan(bundler: Bundler, request: Request, exclude=None) -> FetchPlan:
+    """Plan tail over per-server index lists: single-item rule by moving
+    singleton lists to their first live replica, then hitchhikers."""
+    items = request.items
+    replica_sets = [bundler.placer.servers_for(item) for item in items]
+    subsets: dict[int, int] = {}
+    for idx, servers in enumerate(replica_sets):
+        for s in servers:
+            subsets[s] = subsets.get(s, 0) | 1 << idx
+    cover = greedy_partial_cover(
+        subsets,
+        len(items),
+        request.required_items,
+        exclude=exclude,
+        allow_partial=bool(exclude),
+    )
+    assigned = {s: list(iter_bits(mask)) for s, mask in cover.assignment.items()}
+    if bundler.single_item_rule:
+        moved: dict[int, list[int]] = {}
+        singles = []
+        for server, idxs in assigned.items():
+            if len(idxs) == 1:
+                singles.append(idxs[0])
+            else:
+                moved[server] = list(idxs)
+        for idx in singles:
+            home = next(s for s in replica_sets[idx] if not exclude or s not in exclude)
+            moved.setdefault(home, []).append(idx)
+        assigned = {s: sorted(v) for s, v in moved.items()}
+    transactions = []
+    for server in sorted(assigned):
+        idxs = assigned[server]
+        if not idxs:
+            continue
+        hitchhikers = ()
+        if bundler.hitchhiking:
+            hitchhikers = tuple(
+                items[i]
+                for i, servers in enumerate(replica_sets)
+                if i not in idxs and server in servers
+            )
+        primary = tuple(items[i] for i in idxs)
+        transactions.append(Transaction(server, primary, hitchhikers))
+    return FetchPlan(request=request, transactions=tuple(transactions))
+
+
+@given(
+    st.lists(st.integers(0, 500), min_size=1, max_size=40, unique=True),
+    st.sets(st.integers(0, 11), max_size=3),
+    st.sampled_from([None, 0.5, 0.9]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_plan_matches_list_based_reference(items, exclude, limit, single, hitchhiking):
+    placer = RangedConsistentHashPlacer(12, 3, vnodes=16)
+    bundler = Bundler(placer, single_item_rule=single, hitchhiking=hitchhiking)
+    request = Request(items=tuple(items), limit_fraction=limit)
+    exclude = exclude or None
+    assert bundler.plan(request, exclude=exclude) == _reference_plan(
+        bundler, request, exclude
+    )
