@@ -8,9 +8,9 @@ machinery — the cover planner (:class:`repro.core.bundling.Bundler`),
 :class:`repro.overload.breaker.BreakerBoard`, and the retryable
 ``SERVER_ERROR busy`` admission verdict — but executes differently:
 
-* the transactions of one bundle plan are dispatched **concurrently**
-  (one coroutine each) instead of sequentially, so a multi-get's
-  latency is the *slowest* transaction, not the sum;
+* the fetches of one wave are dispatched **concurrently** (one
+  coroutine each) instead of sequentially, so a wave's latency is its
+  *slowest* transaction, not the sum;
 * many ``get_multi`` calls may be in flight at once on one client; the
   per-server :class:`repro.aio.transport.AsyncConnectionPool` pipelines
   them over a handful of sockets;
@@ -20,49 +20,48 @@ machinery — the cover planner (:class:`repro.core.bundling.Bundler`),
   ``deadline_hit=True`` — the async analogue of the overload ladder's
   "answer with what we have" rung (docs/OVERLOAD.md).
 
-Failover semantics match the sync client: a dead server's primaries are
-re-fetched from surviving replicas in bundled repair waves, BUSY sheds
-trip breakers but never the health tracker's dead-server state machine,
-and exhausted keys are reported missing, never raised.  Membership
-(epoch re-planning) is not threaded through the async path yet — use
-the sync client where live topology changes must commit proposals.
+The read policy is the sync client's, because both drive the same
+:class:`repro.core.session.ReadSession`: it fixes each wave's fetches
+(round one, then distinguished-first repair waves cut to the LIMIT
+quota, substitutes, the epoch re-plan) and this client sends each wave
+concurrently.  BUSY sheds trip breakers but never the health tracker's
+dead-server state machine, and exhausted keys are reported missing,
+never raised.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import defaultdict
 
 from repro.cluster.placement import ReplicaPlacer
-from repro.consistency.quorum import COMMITTED, FAILED, PARTIAL, WriteOutcome, resolve_w
-from repro.consistency.readrepair import MISSING, STALE, ReadOutcome
-from repro.consistency.version import (
-    VersionClock,
-    decode_versioned,
-    encode_versioned,
-    newer,
+from repro.consistency.quorum import (
+    COMMITTED,
+    FAILED,
+    PARTIAL,
+    WriteOutcome,
+    quorum_outcome,
+    resolve_w,
 )
+from repro.consistency.readrepair import MISSING, STALE, ReadOutcome, newest_wins
+from repro.consistency.version import VersionClock, decode_versioned, encode_versioned
 from repro.core.bundling import Bundler
+from repro.core.session import verdict_for
 from repro.errors import ConfigurationError, ProtocolError, ServerBusy
 from repro.faults.health import HealthTracker
 from repro.protocol.retry import RetryPolicy, async_call_with_retries
-from repro.protocol.rnbclient import (
-    FAILOVER_ERRORS,
-    MultiGetOutcome,
-    _record_outcome,
-    _request_instruments,
-)
-from repro.types import Request
+from repro.protocol.rnbclient import FAILOVER_ERRORS, MultiGetOutcome, WireReadPath
 
 
-class AsyncRnBClient:
+class AsyncRnBClient(WireReadPath):
     """Replicate-and-Bundle over pooled, pipelined async connections.
 
     ``connections`` maps server id ->
     :class:`repro.aio.memclient.AsyncMemcachedClient`; everything else
     mirrors the sync client's constructor contract.
     """
+
+    _path = "aio"
 
     def __init__(
         self,
@@ -80,39 +79,22 @@ class AsyncRnBClient:
         tracer=None,
         writer_id: int = 0,
     ) -> None:
-        needed = set(range(placer.n_servers))
-        if not needed <= set(connections):
-            raise ConfigurationError(
-                "connections must cover every server the placer can route to; "
-                f"missing {sorted(needed - set(connections))}"
-            )
-        self.connections = dict(connections)
-        self.placer = placer
-        self.bundler = bundler or Bundler(placer, metrics=metrics)
-        if self.bundler.placer is not placer:
-            raise ConfigurationError("bundler must share the client's placer")
-        self.write_back = write_back
-        self.retry_policy = retry_policy
-        self.health = health
-        self.rng = rng
-        self.sleep = sleep  # None -> asyncio.sleep
-        self.breakers = breakers
-        if breakers is not None:
-            if self.health is None:
-                self.health = HealthTracker(placer.n_servers)
-            breakers.ensure_capacity(placer.n_servers)
-            self.health.add_observer(breakers)
-        #: lifetime BUSY sheds observed (the loadgen's shed counter)
-        self.busy_sheds = 0
-        #: optional repro.obs wiring: a MetricsRegistry feeds the
-        #: ``path="aio"`` request families (docs/OBSERVABILITY.md) and a
-        #: Tracer records request -> plan/txn spans on the wall clock
-        self._tracer = tracer
-        self.metrics = metrics
-        self._metrics = _request_instruments(metrics, "aio")
+        super().__init__(
+            connections,
+            placer,
+            bundler=bundler,
+            write_back=write_back,
+            retry_policy=retry_policy,
+            health=health,
+            rng=rng,
+            sleep=sleep,  # None -> asyncio.sleep
+            breakers=breakers,
+            metrics=metrics,
+            tracer=tracer,
+            writer_id=writer_id,
+        )
         #: version clock for the async quorum write path (parity with
         #: the sync client's set_versioned/get_versioned)
-        self.writer_id = writer_id
         self._vclock = VersionClock(
             writer_id, epoch_fn=lambda: getattr(self.placer, "epoch", 0)
         )
@@ -124,97 +106,59 @@ class AsyncRnBClient:
     async def _fetch(
         self, sid: int, keys, counters: dict | None = None, parent=None
     ) -> dict:
-        """One server's multi-get under the retry policy + health tracking.
-
-        Identical layering to the sync client: a connection that carries
-        its own policy is not retried on top (attempts would compound).
-        """
+        """One server's multi-get under the retry policy + health tracking."""
         conn = self.connections[sid]
-        span = (
-            self._tracer.start("txn", parent=parent, server=sid, n_keys=len(keys))
-            if self._tracer is not None
-            else None
-        )
-
+        span = self._txn_span(sid, keys, parent)
         try:
-            if self.retry_policy is None or getattr(conn, "policy", None) is not None:
-                got = await conn.get_multi(keys)
-            else:
-
-                def _on_retry(attempt_no, exc):
-                    if counters is not None:
-                        counters["retries"] = counters.get("retries", 0) + 1
-                    if self.health is not None:
-                        self.health.record_error(sid)
-
+            if self._use_retries(conn):
                 got = await async_call_with_retries(
                     lambda: conn.get_multi(keys),
                     self.retry_policy,
                     rng=self.rng,
                     sleep=self.sleep,
-                    on_retry=_on_retry,
+                    on_retry=self._on_retry(sid, counters),
                 )
-        except ServerBusy:
-            # backpressure shed: the server is alive, just overloaded —
-            # trip breakers, never the health tracker
-            self.busy_sheds += 1
-            if counters is not None:
-                counters["busy"] = counters.get("busy", 0) + 1
-            if self.breakers is not None:
-                self.breakers.record_failure(sid)
-            if self._metrics is not None:
-                self._metrics["busy"].inc()
-            if span is not None:
-                self._tracer.finish(span, outcome="busy")
+            else:
+                got = await conn.get_multi(keys)
+        except FAILOVER_ERRORS as exc:
+            self._fetch_failed(sid, exc, counters, span)
             raise
-        except FAILOVER_ERRORS:
-            if self.health is not None:
-                self.health.record_error(sid)
-            if span is not None:
-                self._tracer.finish(span, outcome="error")
-            raise
-        if self.health is not None:
-            self.health.record_success(sid)
-        if span is not None:
-            self._tracer.finish(span, outcome="ok")
+        self._fetch_ok(sid, span)
         return got
 
-    async def _fetch_result(self, sid: int, keys, counters, parent=None):
-        """:meth:`_fetch` with the exception folded into the return value,
-        so a wave of concurrent fetches can be aggregated in task order
-        (deterministic) rather than completion order."""
-        try:
-            return sid, tuple(keys), await self._fetch(sid, keys, counters, parent)
-        except FAILOVER_ERRORS as exc:
-            return sid, tuple(keys), exc
+    async def _run_wave(self, wave, counters, parent, deadline_at: float | None):
+        """Send one wave's fetches concurrently.
 
-    async def _run_wave(
-        self, jobs: list, deadline_at: float | None
-    ) -> tuple[list, bool]:
-        """Run one wave of fetch coroutines concurrently.
-
-        Returns ``(results_in_job_order, deadline_hit)``.  On deadline
-        expiry the unfinished fetches are cancelled and only completed
-        results are returned — degrade, don't fail.
+        Returns ``(results, deadline_hit)``: ``(fetch, keys or failover
+        exception)`` pairs in wave order (deterministic, whatever order
+        they complete in).  On deadline expiry the unfinished fetches are
+        cancelled and only completed ones are returned — degrade, don't
+        fail.
         """
-        if not jobs:
+        if not wave:
             return [], False
-        tasks = [asyncio.ensure_future(job) for job in jobs]
-        if deadline_at is None:
-            await asyncio.wait(tasks)
-            return [t.result() for t in tasks], False
-        remaining = deadline_at - asyncio.get_running_loop().time()
-        if remaining <= 0:
-            for t in tasks:
-                t.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            return [], True
-        done, pending = await asyncio.wait(tasks, timeout=remaining)
+        tasks = [
+            asyncio.ensure_future(
+                self._fetch(f.server, f.primary + f.hitchhikers, counters, parent)
+            )
+            for f in wave
+        ]
+        timeout = None
+        if deadline_at is not None:
+            timeout = max(0.0, deadline_at - asyncio.get_running_loop().time())
+        done, pending = await asyncio.wait(tasks, timeout=timeout)
         for t in pending:
             t.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        return [t.result() for t in tasks if t in done], bool(pending)
+        results = []
+        for fetch, task in zip(wave, tasks):
+            if task in done:
+                exc = task.exception()
+                if exc is not None and not isinstance(exc, FAILOVER_ERRORS):
+                    raise exc
+                results.append((fetch, task.result() if exc is None else exc))
+        return results, bool(pending)
 
     # -- write path --------------------------------------------------------
 
@@ -260,7 +204,7 @@ class AsyncRnBClient:
         this closes the ROADMAP follow-up "async quorum write path".
         """
         replicas = tuple(self.placer.servers_for(key))
-        need = resolve_w(w, len(replicas))
+        resolve_w(w, len(replicas))  # validate before any replica is written
         stamp = self._vclock.next_stamp()
         data = encode_versioned(value, stamp)
         results = await asyncio.gather(
@@ -284,21 +228,11 @@ class AsyncRnBClient:
                     self.health.record_error(sid)
             elif isinstance(res, BaseException):
                 raise res
-        committed = len(acked) >= need
-        if w == "leader" and replicas and replicas[0] not in acked:
-            committed = False
-        outcome = FAILED if not committed else (PARTIAL if failed else COMMITTED)
+        result = quorum_outcome(key, stamp, replicas, acked, failed, w)
         instruments = self._quorum_instruments()
         if instruments is not None:
-            instruments[outcome].inc()
-        return WriteOutcome(
-            key=key,
-            stamp=stamp,
-            acked=tuple(acked),
-            failed=tuple(failed),
-            w=need,
-            outcome=outcome,
-        )
+            instruments[result.outcome].inc()
+        return result
 
     async def get_versioned(self, key: str, *, repair: bool = True) -> ReadOutcome:
         """Versioned read across all replicas (concurrently) with inline
@@ -325,18 +259,7 @@ class AsyncRnBClient:
                 missing.append(sid)
             else:
                 seen[sid] = decode_versioned(res)
-        best = source = payload = None
-        for sid in replicas:
-            if sid not in seen:
-                continue
-            stamp, data = seen[sid]
-            self._vclock.observe(stamp)
-            if source is None or newer(stamp, best):
-                best, source, payload = stamp, sid, data
-        newest = tuple(
-            sid for sid, (stamp, _) in seen.items() if not newer(best, stamp)
-        )
-        stale = tuple(sid for sid in seen if sid not in newest)
+        best, source, payload, newest, stale = newest_wins(replicas, seen, self._vclock)
         if self.metrics is not None:
             if self._div_counters is None:
                 self._div_counters = {
@@ -396,110 +319,26 @@ class AsyncRnBClient:
         if deadline is not None and deadline <= 0:
             raise ConfigurationError("deadline must be positive (or None)")
         started = time.perf_counter()
-        req_span = (
-            self._tracer.start("request", n_keys=len(keys))
-            if self._tracer is not None
-            else None
-        )
         deadline_at = (
             asyncio.get_running_loop().time() + deadline if deadline is not None else None
         )
-        request = Request(items=keys, limit_fraction=limit_fraction)
-        exclude = self.health.exclusions() if self.health is not None else frozenset()
-        if self.breakers is not None:
-            self.breakers.advance()
-            exclude = exclude | self.breakers.tripped()
-        plan = self.bundler.plan(request, exclude=exclude or None)
-        if req_span is not None:
-            self._tracer.finish(
-                self._tracer.start(
-                    "plan", parent=req_span, n_txns=len(plan.transactions)
-                )
-            )
-
+        session, req_span = self._open(keys, limit_fraction)
         counters: dict[str, int] = {}
         outcome = MultiGetOutcome()
-        failed: set[int] = set()
-        missed_primary: dict[str, int] = {}
-
-        jobs = [
-            self._fetch_result(
-                txn.server, (*txn.primary, *txn.hitchhikers), counters, req_span
-            )
-            for txn in plan.transactions
-        ]
-        results, cut = await self._run_wave(jobs, deadline_at)
-        for txn, (sid, _, got) in zip(plan.transactions, results):
-            if isinstance(got, BaseException):
-                failed.add(sid)
-                for key in txn.primary:
-                    missed_primary[key] = sid
-                continue
-            outcome.transactions += 1
-            outcome.values.update(got)
-            for key in txn.primary:
-                if key not in got:
-                    missed_primary[key] = sid
-        if cut:
-            # deadline mid-first-round: cancelled transactions' primaries
-            # are simply still missing; skip repair and report degraded
-            return self._finalize(
-                outcome, keys, failed, counters,
-                deadline_hit=True, started=started, req_span=req_span,
-            )
-
-        # Repair waves: same policy as the sync client (distinguished
-        # copy first, then surviving replicas), but each wave's bundles
-        # run concurrently.
-        required = request.required_items
-        pending = {k for k in missed_primary if k not in outcome.values}
-        tried: dict[str, set[int]] = {k: {missed_primary[k]} for k in pending}
-        unplanned = [
-            k for k in keys if k not in outcome.values and k not in missed_primary
-        ]
-        while len(outcome.values) < required:
-            groups: dict[int, list[str]] = defaultdict(list)
-            for key in sorted(pending):
-                candidates = [
-                    s
-                    for s in self.placer.servers_for(key)
-                    if s not in failed and s not in tried[key]
-                ]
-                if not candidates:
-                    pending.discard(key)  # exhausted: genuinely missing
-                    continue
-                groups[candidates[0]].append(key)
-            if not groups:
-                if unplanned:
-                    for key in unplanned:
-                        pending.add(key)
-                        tried[key] = set()
-                    unplanned = []
-                    continue
-                break
-            wave = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-            jobs = [
-                self._fetch_result(sid, group, counters, req_span)
-                for sid, group in wave
-            ]
-            results, cut = await self._run_wave(jobs, deadline_at)
+        cut = False
+        while wave := session.next_wave():
+            results, cut = await self._run_wave(wave, counters, req_span, deadline_at)
             writebacks = []
-            for sid, group, got in results:
+            for fetch, got in results:
                 if isinstance(got, BaseException):
-                    failed.add(sid)
+                    session.record(fetch, verdict_for(got))
                     continue
-                outcome.transactions += 1
-                outcome.second_round_transactions += 1
-                for key in group:
-                    tried[key].add(sid)
+                session.record(fetch, got)
                 outcome.values.update(got)
-                outcome.misses_repaired += len(got)
-                for key in got:
-                    pending.discard(key)
-                if self.write_back:
+                if self.write_back and not session.round_one:
                     for key, value in got.items():
-                        target = missed_primary.get(key)
-                        if target is not None and target not in failed:
+                        target = session.writeback_target(key)
+                        if target is not None:
                             writebacks.append((target, key, value))
             if writebacks:
                 wb_results = await asyncio.gather(
@@ -511,42 +350,15 @@ class AsyncRnBClient:
                 )
                 for (target, _, _), res in zip(writebacks, wb_results):
                     if isinstance(res, FAILOVER_ERRORS):
-                        failed.add(target)
+                        session.mark_failed(target)
                     elif isinstance(res, BaseException):
                         raise res
             if cut:
-                return self._finalize(
-                    outcome, keys, failed, counters,
-                    deadline_hit=True, started=started, req_span=req_span,
-                )
-
-        return self._finalize(
-            outcome, keys, failed, counters,
-            deadline_hit=False, started=started, req_span=req_span,
-        )
-
-    def _finalize(
-        self,
-        outcome: MultiGetOutcome,
-        keys: tuple,
-        failed: set,
-        counters: dict,
-        *,
-        deadline_hit: bool,
-        started: float = 0.0,
-        req_span=None,
-    ) -> MultiGetOutcome:
-        outcome.missing = tuple(k for k in keys if k not in outcome.values)
-        outcome.failed_servers = tuple(sorted(failed))
-        outcome.retries = counters.get("retries", 0)
-        outcome.busy_sheds = counters.get("busy", 0)
-        outcome.deadline_hit = deadline_hit
-        _record_outcome(self._metrics, outcome, time.perf_counter() - started)
-        if req_span is not None:
-            self._tracer.finish(
-                req_span, n_missing=len(outcome.missing), deadline_hit=deadline_hit
-            )
-        return outcome
+                # the deadline expired mid-wave: cancelled fetches' keys
+                # are simply still missing; report what arrived
+                break
+        outcome.deadline_hit = cut
+        return self._close(outcome, session, counters, started, req_span)
 
     async def get(self, key: str) -> bytes | None:
         """Single-item get from the distinguished copy (paper III-C1),

@@ -92,6 +92,18 @@ class WriteOutcome:
         return bool(self.failed) and bool(self.acked)
 
 
+def quorum_outcome(key, stamp, replicas: tuple, acked, failed, w) -> WriteOutcome:
+    """Judge one write from the replicas that acked and failed it."""
+    need = resolve_w(w, len(replicas))
+    committed = len(acked) >= need
+    if w == "leader" and replicas and replicas[0] not in acked:
+        committed = False  # the copy of record itself missed the write
+    outcome = FAILED if not committed else (PARTIAL if failed else COMMITTED)
+    return WriteOutcome(
+        key=key, stamp=stamp, acked=tuple(acked), failed=tuple(failed), w=need, outcome=outcome
+    )
+
+
 class QuorumWriter:
     """Versioned replicated writes over a replica store.
 
@@ -202,26 +214,11 @@ class QuorumWriter:
                 acked.append(sid)
                 if self.health is not None:
                     self.health.record_success(sid)
-        committed = len(acked) >= need
-        if self.w == "leader" and replicas and replicas[0] not in acked:
-            committed = False  # the copy of record itself missed the write
-        if not committed:
-            outcome = FAILED
-        elif failed:
-            outcome = PARTIAL
-        else:
-            outcome = COMMITTED
+        result = quorum_outcome(key, stamp, replicas, acked, failed, self.w)
         if self._counters is not None:
-            self._counters[outcome].inc()
+            self._counters[result.outcome].inc()
             self._ack_hist.observe(float(len(acked)))
-        return WriteOutcome(
-            key=key,
-            stamp=stamp,
-            acked=tuple(acked),
-            failed=tuple(failed),
-            w=need,
-            outcome=outcome,
-        )
+        return result
 
     def write_many(self, keys, payload: bytes = b"") -> list[WriteOutcome]:
         """Convenience burst write (the chaos experiment's inner loop)."""

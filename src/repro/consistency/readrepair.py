@@ -76,6 +76,30 @@ class ReadOutcome:
         return bool(self.stale or (self.missing and self.newest))
 
 
+def newest_wins(replicas: tuple, seen: dict, clock=None):
+    """Pick the version a read returns from the replicas that had one.
+
+    ``seen`` maps replica -> ``(stamp, payload)``.  Returns ``(stamp,
+    source, payload, newest, stale)``: the newest version (the first
+    replica in placement order breaks ties), the replicas holding it and
+    the ones behind.  ``clock`` observes every stamp read.
+    """
+    best: VersionStamp | None = None
+    source: int | None = None
+    payload: bytes | None = None
+    for sid in replicas:
+        if sid not in seen:
+            continue
+        stamp, data = seen[sid]
+        if clock is not None:
+            clock.observe(stamp)
+        if source is None or newer(stamp, best):
+            best, source, payload = stamp, sid, data
+    newest = tuple(sid for sid, (stamp, _) in seen.items() if not newer(best, stamp))
+    stale = tuple(sid for sid in seen if sid not in newest)
+    return best, source, payload, newest, stale
+
+
 class VersionedReader:
     """Read-all / repair-divergent versioned reads over a replica store.
 
@@ -170,21 +194,7 @@ class VersionedReader:
                 missing.append(sid)
             else:
                 seen[sid] = record
-        best: VersionStamp | None = None
-        source: int | None = None
-        payload: bytes | None = None
-        for sid in replicas:
-            if sid not in seen:
-                continue
-            stamp, data = seen[sid]
-            if self.clock is not None:
-                self.clock.observe(stamp)
-            if source is None or newer(stamp, best):
-                best, source, payload = stamp, sid, data
-        newest = tuple(
-            sid for sid, (stamp, _) in seen.items() if not newer(best, stamp)
-        )
-        stale = tuple(sid for sid in seen if sid not in newest)
+        best, source, payload, newest, stale = newest_wins(replicas, seen, self.clock)
         if self._div_counters is not None:
             if stale:
                 self._div_counters[STALE].inc(len(stale))

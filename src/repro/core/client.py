@@ -16,14 +16,18 @@ Implements the full read path of paper sections III-A/C/D:
 LIMIT requests (section III-F) stop the second round as soon as the
 required item count has been reached, and skip it entirely when round one
 already returned enough.
+
+The policy lives in :class:`repro.core.session.ReadSession`; this client
+is its simulator driver: a plain loop of ``Server.multi_get`` calls, with
+write-back data taken from the database (the distinguished copy's stamp)
+right after round one.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.cluster.cluster import Cluster
 from repro.core.bundling import Bundler
+from repro.core.session import ReadSession
 from repro.errors import ConfigurationError
 from repro.types import FetchPlan, FetchResult, ItemId, Request
 
@@ -66,123 +70,56 @@ class RnBClient:
         return self.execute_plan(plan)
 
     def execute_plan(self, plan: FetchPlan) -> FetchResult:
-        request = plan.request
-        obtained: set[ItemId] = set()
-        missed: dict[ItemId, int] = {}  # item -> planned (first-picked) server
-        servers_contacted: list[int] = []
-        txn_sizes: list[int] = []
-        items_transferred = 0
-
-        # ---- round one ----
-        for txn in plan.transactions:
-            server = self.cluster.server(txn.server)
-            hits, misses, hh_hits = server.multi_get(txn.primary, txn.hitchhikers)
-            obtained.update(hits)
-            obtained.update(hh_hits)
-            for item in misses:
-                missed[item] = txn.server
-            servers_contacted.append(txn.server)
-            txn_sizes.append(txn.n_items)
-            items_transferred += len(hits) + len(hh_hits)
-
-        # hitchhikers elsewhere may have rescued a miss
-        still_missing = [i for i in missed if i not in obtained]
-
-        # ---- write-back of missed items (DB fetch side effect) ----
-        if self.write_back:
-            for item in missed:
-                if item not in obtained:
-                    self.cluster.server(missed[item]).write_back(
-                        item, stamp=self._authoritative_stamp(item)
-                    )
-
-        # ---- round two: distinguished copies ----
-        second_round = 0
-        required = request.required_items
-        if still_missing and len(obtained) < required:
-            groups: dict[int, list[ItemId]] = defaultdict(list)
-            for item in still_missing:
-                groups[self.bundler.placer.distinguished_for(item)].append(item)
-            for server_id, group in self._second_round_order(groups):
-                need = required - len(obtained)
-                if need <= 0:
-                    break
-                fetch = group[:need] if request.limit_fraction is not None else group
-                server = self.cluster.server(server_id)
-                hits, misses2, _ = server.multi_get(fetch)
-                # distinguished copies are pinned; a miss here means the
-                # cluster was mis-provisioned
-                if misses2:  # pragma: no cover - invariant guard
-                    raise ConfigurationError(
-                        f"distinguished copies missing on server {server_id}: {misses2}"
-                    )
-                obtained.update(hits)
-                servers_contacted.append(server_id)
-                txn_sizes.append(len(fetch))
-                items_transferred += len(hits)
-                second_round += 1
-
-        return FetchResult(
-            request=request,
-            transactions=len(plan.transactions) + second_round,
-            items_fetched=len(obtained),
-            items_transferred=items_transferred,
-            misses=len(missed),
-            second_round_transactions=second_round,
-            servers_contacted=tuple(servers_contacted),
-            txn_sizes=tuple(txn_sizes),
-        )
-
-    def tally_plan(self, plan: FetchPlan) -> FetchResult:
-        """Account a plan that cannot miss, without walking the stores.
-
-        Precondition (the caller's to guarantee — the simulation engine
-        checks it once per run): every planned primary item is resident on
-        its transaction's server and *stays* resident, i.e. unlimited
-        memory (``memory_factor=None``) with the pinned LRU policy, no
-        hitchhikers, and no fault injection.  Under naive allocation every
-        logical replica is preloaded and nothing is ever evicted, so each
-        ``multi_get`` would return all-hits and the recency reordering it
-        performs can never influence anything observable.  This method
-        applies exactly the counter updates those all-hit transactions
-        would and returns the identical :class:`FetchResult`
-        (property-tested against :meth:`execute_plan`).
-        """
-        items_total = 0
-        servers_contacted: list[int] = []
-        txn_sizes: list[int] = []
-        servers = self.cluster.servers
-        for txn in plan.transactions:
-            n = len(txn.primary)
-            c = servers[txn.server].counters
-            c.transactions += 1
-            c.items_requested += n
-            c.items_returned += n
-            c.hits += n
-            c.txn_sizes.add(n)
-            servers_contacted.append(txn.server)
-            txn_sizes.append(n)
-            items_total += n
+        """Drive a :class:`ReadSession` over the simulated fleet."""
+        session = ReadSession(plan, self.bundler)
+        contacted: list[int] = []
+        sizes: list[int] = []
+        transferred = 0
+        server = self.cluster.server
+        while wave := session.next_wave():
+            for fetch in wave:
+                hits, misses, hh_hits = server(fetch.server).multi_get(
+                    fetch.primary, fetch.hitchhikers
+                )
+                got = hits + hh_hits if hh_hits else hits
+                session.record(fetch, got, misses)
+                contacted.append(fetch.server)
+                sizes.append(fetch.n_items)
+                transferred += len(got)
+            if session.round_one and self.write_back:
+                # the database fetch behind each unrescued miss
+                for item, sid in session.writebacks():
+                    server(sid).write_back(item, stamp=authoritative_stamp(self.cluster, item))
         return FetchResult(
             request=plan.request,
-            transactions=len(plan.transactions),
-            items_fetched=items_total,
-            items_transferred=items_total,
-            misses=0,
-            second_round_transactions=0,
-            servers_contacted=tuple(servers_contacted),
-            txn_sizes=tuple(txn_sizes),
+            transactions=session.transactions,
+            items_fetched=len(session.obtained),
+            items_transferred=transferred,
+            misses=session.misses,
+            second_round_transactions=session.second_round,
+            servers_contacted=tuple(contacted),
+            txn_sizes=tuple(sizes),
         )
 
     def tally_footprint(
         self, request: Request, footprint: tuple[tuple[int, int], ...]
     ) -> FetchResult:
-        """Account a plan *footprint* — ``(server, n_primary)`` pairs.
+        """Account a plan *footprint* — ``(server, n_primary)`` pairs —
+        without walking the stores.
 
-        Same precondition and counter updates as :meth:`tally_plan`, but
-        driven by ``Bundler.plan_footprints`` output so the fast path
+        Driven by ``Bundler.plan_footprints`` output, so the fast path
         never materialises plan objects at all.  Returns the identical
-        :class:`FetchResult` that ``execute_plan(plan(request))`` would.
+        :class:`FetchResult` that ``execute_plan(plan(request))`` would,
+        and applies the same counter updates, under a precondition the
+        caller guarantees (the simulation engine checks it once per
+        run): every planned primary item is resident on its
+        transaction's server and *stays* resident, i.e. unlimited memory
+        (``memory_factor=None``) with the pinned LRU policy, no
+        hitchhikers, and no fault injection.  Under naive allocation
+        every logical replica is preloaded and nothing is ever evicted,
+        so each ``multi_get`` would return all-hits and the recency
+        reordering it performs can never influence anything observable
+        (property-tested against :meth:`execute_plan`).
         """
         items_total = 0
         servers = self.cluster.servers
@@ -209,26 +146,19 @@ class RnBClient:
             txn_sizes=tuple(txn_sizes),
         )
 
-    # -- helpers ---------------------------------------------------------------
 
-    def _authoritative_stamp(self, item: ItemId):
-        """Version stamp a DB-fetched copy of ``item`` should carry.
+def authoritative_stamp(cluster: Cluster, item: ItemId):
+    """Version stamp a DB-fetched copy of ``item`` should carry.
 
-        The backing store serves the committed version, which the pinned
-        distinguished copy mirrors — so write-backs inherit the
-        distinguished server's stamp instead of installing an unversioned
-        copy that anti-entropy would flag as divergent.  An unreachable
-        home (chaos) yields ``None``: the copy is installed unversioned
-        and reconciled by the scrubber later.
-        """
-        try:
-            home = self.cluster.server(self.bundler.placer.distinguished_for(item))
-        except (ConnectionError, OSError):
-            return None
-        return home.stamps.get(item)
-
-    @staticmethod
-    def _second_round_order(groups: dict[int, list[ItemId]]):
-        """Largest groups first so LIMIT second rounds use fewest transactions;
-        ties break on lowest server id for determinism."""
-        return sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    The backing store serves the committed version, which the pinned
+    distinguished copy mirrors — so write-backs inherit the distinguished
+    server's stamp instead of installing an unversioned copy that
+    anti-entropy would flag as divergent.  An unreachable home (chaos)
+    yields ``None``: the copy is installed unversioned and reconciled by
+    the scrubber later.
+    """
+    try:
+        home = cluster.server(cluster.placer.distinguished_for(item))
+    except (ConnectionError, OSError):
+        return None
+    return home.stamps.get(item)

@@ -25,15 +25,19 @@ hardened against the failure modes of :mod:`repro.faults.plan`:
 
 The guarantee (property-tested): a request whose every item has at least
 one live replica is always fully served.
+
+Steps 3 and 4 are the :class:`repro.core.session.ReadSession` policy
+every RnB client runs; with no faults this client matches ``RnBClient``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.cluster.cluster import Cluster
 from repro.core.bundling import Bundler
+from repro.core.client import authoritative_stamp
+from repro.core.session import ReadSession
 from repro.errors import (
     ConfigurationError,
     ServerBusy,
@@ -41,7 +45,7 @@ from repro.errors import (
     ServerFault,
     ServerTimeout,
 )
-from repro.faults.health import HealthTracker
+from repro.faults.health import HealthTracker, believed_dead
 from repro.types import ItemId, Request
 
 
@@ -221,7 +225,8 @@ class FaultTolerantRnBClient:
         if self.breakers is not None:
             self.breakers.advance()
 
-        counters = {"retries": 0, "transactions": 0, "commits": 0}
+        counters = {"retries": 0, "commits": 0}
+        failovers = 0
         servers_contacted: list[int] = []
 
         # stale-view check: another client (or the repair path) may have
@@ -231,134 +236,41 @@ class FaultTolerantRnBClient:
         view_refreshed = epoch_now is not None and epoch_now != self.seen_epoch
         self.seen_epoch = epoch_now
 
-        exclude = self.health.exclusions()
-        if self.breakers is not None:
-            exclude = exclude | self.breakers.tripped()
-        plan = self.bundler.plan(request, exclude=exclude)
-
-        obtained: set[ItemId] = set()
-        misses = 0
-        failovers = 0
-        db_fallbacks = 0
-        second_round = 0
-        # item -> servers *conclusively* tried for it: crashed, evicted the
-        # item, or timed out ``timeout_strikes`` times this request.  A
-        # merely-flaky server stays out of the set so later waves retry it
-        # (fresh timeout draws) — otherwise an item whose only live replica
-        # it holds would be stranded.
-        tried: dict[ItemId, set[int]] = {}
-        pending: set[ItemId] = set()
-        strikes: dict[int, int] = defaultdict(int)  # server -> timeout exhaustions
-
-        # ---- round one: the (possibly degraded) planned cover ----
-        for txn in plan.transactions:
-            status, result = self._attempt(
-                txn.server, txn.primary, txn.hitchhikers, counters
-            )
-            if status != "ok":
-                failovers += 1
-                if status in ("timeout", "busy"):
-                    strikes[txn.server] += 1
-                final = (
-                    status in ("down", "unreachable")
-                    or strikes[txn.server] >= self.timeout_strikes
+        plan = self.bundler.plan(request, exclude=self._believed_dead())
+        session = ReadSession(
+            plan,
+            self.bundler,
+            epoch=epoch_now,
+            strikes=self.timeout_strikes,
+            believed_dead=self._believed_dead,
+            backstop=self._db_repair,
+        )
+        while wave := session.next_wave():
+            for fetch in wave:
+                status, result = self._attempt(
+                    fetch.server, fetch.primary, fetch.hitchhikers, counters
                 )
-                for item in txn.primary:
-                    tried[item] = {txn.server} if final else set()
-                    pending.add(item)
-                continue
-            servers_contacted.append(txn.server)
-            hits, missed_items, hh_hits = result
-            obtained.update(hits)
-            obtained.update(hh_hits)
-            for item in missed_items:
-                # evicted replica: repair write-back, then refetch from the
-                # distinguished copy (or survivors) in the failover waves
-                misses += 1
-                if self.write_back:
-                    self.cluster.servers[txn.server].write_back(
-                        item, stamp=self._authoritative_stamp(item)
-                    )
-                tried[item] = {txn.server}
-                pending.add(item)
-
-        # items planned nowhere (all replicas excluded by health) still get
-        # a chance: health can be stale, so the waves try every replica
-        planned = plan.planned_items()
-        for item in request.items:
-            if item not in planned and item not in obtained and item not in tried:
-                tried[item] = set()
-                pending.add(item)
-        pending -= obtained
-
-        # ---- failover waves: walk each item's surviving replicas ----
-        required = request.required_items
-        unavailable: list[ItemId] = []
-        believed_dead = self.health.exclusions()
-        if self.breakers is not None:
-            believed_dead = believed_dead | self.breakers.tripped()
-        waves = 0
-        while pending and len(obtained) < required:
-            waves += 1
-            groups: dict[int, list[ItemId]] = defaultdict(list)
-            for item in sorted(pending):
-                candidates = [
-                    s
-                    for s in self.bundler.placer.servers_for(item)
-                    if s not in tried[item]
-                ]
-                if not candidates:
-                    pending.discard(item)
-                    if self._reached_any(item, tried[item]):
-                        # every reachable replica evicted the item: repair
-                        # from the backing store (always possible — the
-                        # simulator's DB never fails) onto a live replica
-                        db_fallbacks += 1
-                        obtained.add(item)
-                        self._db_repair(item, tried[item])
-                    else:
-                        unavailable.append(item)
-                    continue
-                # believed-dead servers last: they usually cost a failed
-                # attempt, but stale health must not strand the item
-                candidates.sort(key=lambda s: s in believed_dead)
-                groups[candidates[0]].append(item)
-            if not groups:
-                break
-            wave_order = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-            for sid, group in wave_order:
-                if len(obtained) >= required:
-                    break
-                if request.limit_fraction is not None:
-                    group = group[: required - len(obtained)]
-                status, result = self._attempt(sid, tuple(group), (), counters)
                 if status != "ok":
                     failovers += 1
-                    if status in ("timeout", "busy"):
-                        strikes[sid] += 1
-                    if (
-                        status in ("down", "unreachable")
-                        or strikes[sid] >= self.timeout_strikes
-                    ):
-                        for item in group:
-                            tried[item].add(sid)
-                    # else: leave the group pending — the next wave retries
-                    # the same (alive, flaky) server with fresh draws
+                    session.record(fetch, status)
                     continue
-                for item in group:
-                    tried[item].add(sid)
-                servers_contacted.append(sid)
-                second_round += 1
-                hits, missed_items, _ = result
-                misses += len(missed_items)
-                obtained.update(hits)
-                pending.difference_update(hits)
+                hits, misses, hh_hits = result
+                session.record(fetch, hits + hh_hits, misses)
+                servers_contacted.append(fetch.server)
+            if session.round_one and self.write_back:
+                # repair each unrescued eviction from the database
+                for item, sid in session.writebacks():
+                    self.cluster.servers[sid].write_back(
+                        item, stamp=authoritative_stamp(self.cluster, item)
+                    )
 
+        unavailable = session.unavailable
+        db_fallbacks = session.fallbacks
         if self._metrics is not None:
             m = self._metrics
             m["retries"].inc(counters["retries"])
             m["failovers"].inc(failovers)
-            m["waves"].inc(waves)
+            m["waves"].inc(session.waves)
             m["db_fallbacks"].inc(db_fallbacks)
             m["unavailable"].inc(len(unavailable))
             m["commits"].inc(counters["commits"])
@@ -368,13 +280,13 @@ class FaultTolerantRnBClient:
         # needed — it is neither fetched nor unavailable
         return DegradedFetchResult(
             request=request,
-            transactions=counters["transactions"],
-            items_fetched=len(obtained),
-            misses=misses,
+            transactions=session.transactions,
+            items_fetched=len(session.obtained),
+            misses=session.misses,
             retries=counters["retries"],
             failovers=failovers,
             db_fallbacks=db_fallbacks,
-            second_round_transactions=second_round,
+            second_round_transactions=session.second_round,
             unavailable=tuple(sorted(unavailable)),
             servers_contacted=tuple(servers_contacted),
             epoch=self.seen_epoch,
@@ -403,7 +315,7 @@ class FaultTolerantRnBClient:
         attempt = 0
         while True:
             try:
-                server = self.cluster.server(sid)
+                result = self.cluster.server(sid).multi_get(primary, hitchhikers)
             except ServerDown:
                 self.health.record_error(sid)
                 self._propose_if_dead(sid, counters)
@@ -416,6 +328,10 @@ class FaultTolerantRnBClient:
                 counters["retries"] += 1
                 continue
             except ServerBusy:
+                # backpressure shed (injected, or the server's admission
+                # gate): the server is alive, just overloaded.  Feed the
+                # breaker (soft) but never the health tracker — shedding
+                # must not walk a server toward a dead verdict.
                 if self.breakers is not None:
                     self.breakers.record_failure(sid)
                 return "busy", None
@@ -425,17 +341,7 @@ class FaultTolerantRnBClient:
                 # but no removal proposal — unreachable is not dead
                 self.health.record_error(sid)
                 return "unreachable", None
-            try:
-                result = server.multi_get(primary, hitchhikers)
-            except ServerBusy:
-                # backpressure shed: the server is alive, just overloaded.
-                # Feed the breaker (soft) but never the health tracker —
-                # shedding must not walk a server toward a dead verdict.
-                if self.breakers is not None:
-                    self.breakers.record_failure(sid)
-                return "busy", None
             self.health.record_success(sid)
-            counters["transactions"] += 1
             return "ok", result
 
     def _propose_if_dead(self, sid: int, counters: dict) -> None:
@@ -451,31 +357,22 @@ class FaultTolerantRnBClient:
             counters["commits"] += 1
             self.seen_epoch = getattr(self.bundler.placer, "epoch", None)
 
-    def _reached_any(self, item: ItemId, tried_servers: set[int]) -> bool:
-        """Did any tried replica actually answer (i.e. the item was evicted,
-        not unreachable)?  True iff some tried server is not crashed/erroring
-        from this request's perspective: we approximate with the health
-        tracker — a server with a recorded success since its last error
-        answered us."""
-        return any(self.health.state(s) == "alive" for s in tried_servers)
+    def _believed_dead(self) -> frozenset[int]:
+        return believed_dead(self.health, self.breakers)
 
-    def _authoritative_stamp(self, item: ItemId):
-        """Version of the backing-store copy being written back — the
-        distinguished copy's stamp when its home is reachable, ``None``
-        (unversioned; the scrubber reconciles later) when it is not."""
-        try:
-            home = self.cluster.server(self.bundler.placer.distinguished_for(item))
-        except (ConnectionError, OSError):
-            return None
-        return home.stamps.get(item)
-
-    def _db_repair(self, item: ItemId, tried_servers: set[int]) -> None:
-        """Re-materialise an everywhere-evicted item onto a live replica."""
-        if not self.write_back:
-            return
-        for sid in self.bundler.placer.servers_for(item):
-            if sid in tried_servers and self.health.state(sid) == "alive":
-                self.cluster.servers[sid].write_back(
-                    item, stamp=self._authoritative_stamp(item)
-                )
-                return
+    def _db_repair(self, item: ItemId, answered: tuple[int, ...]) -> bool:
+        """Backstop for an item no replica could serve: if a replica that
+        answered without it is alive (the item was evicted, not cut off),
+        the backing store serves it — the simulator's DB never fails — and
+        it is re-materialised onto that replica."""
+        alive = {s for s in answered if self.health.state(s) == "alive"}
+        if not alive:
+            return False
+        if self.write_back:
+            for sid in self.bundler.placer.servers_for(item):
+                if sid in alive:
+                    self.cluster.servers[sid].write_back(
+                        item, stamp=authoritative_stamp(self.cluster, item)
+                    )
+                    break
+        return True

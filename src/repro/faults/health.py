@@ -211,3 +211,12 @@ class HealthTracker:
         for h in self._health:
             out[h.state] += 1
         return out
+
+
+def believed_dead(health: HealthTracker | None, breakers=None) -> frozenset[int]:
+    """Servers a health tracker declares dead or a breaker board holds
+    open: read plans avoid them and repair waves try them last."""
+    dead = health.exclusions() if health is not None else frozenset()
+    if breakers is not None:
+        dead = dead | breakers.tripped()
+    return dead

@@ -24,6 +24,10 @@ from repro.errors import ProtocolError
 
 CRLF = b"\r\n"
 MAX_KEY_LEN = 250
+#: largest data block a storage command may declare (memcached's ``-I``
+#: default); a longer one is refused as soon as its line parses, before
+#: any of the block is buffered
+MAX_ITEM_SIZE = 1024 * 1024
 STORAGE_COMMANDS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
 RETRIEVAL_COMMANDS = frozenset({"get", "gets"})
 COUNTER_COMMANDS = frozenset({"incr", "decr"})
@@ -385,6 +389,14 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
     return commands, data[pos:]
 
 
+def _number(token: str, line: str) -> int:
+    """A numeric field of a command line; a non-number is malformed."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ProtocolError(f"non-numeric field {token!r} in {line!r}") from None
+
+
 def _parse_commands(data: bytes) -> tuple[list[Command], int, int]:
     """Parse the complete commands at the start of ``data``.
 
@@ -423,10 +435,15 @@ def _parse_commands(data: bytes) -> tuple[list[Command], int, int]:
                 raise ProtocolError(f"malformed {name} command: {text!r}")
             key = parts[1]
             _validate_key(key)
-            flags, exptime, nbytes = int(parts[2]), int(parts[3]), int(parts[4])
-            cas = int(parts[5]) if name == "cas" else None
+            flags, exptime, nbytes = (_number(p, text) for p in parts[2:5])
+            cas = _number(parts[5], text) if name == "cas" else None
             if nbytes < 0:
                 raise ProtocolError("negative data length")
+            if nbytes > MAX_ITEM_SIZE:
+                raise ProtocolError(
+                    f"data block of {nbytes} bytes exceeds the "
+                    f"{MAX_ITEM_SIZE}-byte item limit"
+                )
             body_end = line_end + nbytes
             if n_data < body_end + 2:
                 return commands, pos, body_end + 2  # wait for the data block
@@ -464,7 +481,7 @@ def _parse_commands(data: bytes) -> tuple[list[Command], int, int]:
                 Command(
                     name="touch",
                     keys=(parts[1],),
-                    exptime=int(parts[2]),
+                    exptime=_number(parts[2], text),
                     noreply=parts[-1] == "noreply",
                 )
             )
@@ -474,7 +491,7 @@ def _parse_commands(data: bytes) -> tuple[list[Command], int, int]:
             if len(parts) < 3:
                 raise ProtocolError(f"{name} needs a key and a delta")
             _validate_key(parts[1])
-            delta = int(parts[2])
+            delta = _number(parts[2], text)
             if delta < 0:
                 raise ProtocolError(f"{name} delta must be non-negative")
             commands.append(

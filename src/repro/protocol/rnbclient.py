@@ -26,19 +26,23 @@
   count as soft failures — after the retry budget they fail over to the
   item's other replicas like a dead server would, but they only trip
   breakers, never the health tracker's dead-server state machine.
+
+The read policy itself lives in :class:`repro.core.session.ReadSession`;
+:meth:`RnBProtocolClient.get_multi` drives it with one connection
+``get_multi`` per fetch and writes each repaired value back to the
+replica that missed it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.cluster.placement import ReplicaPlacer
 from repro.core.bundling import Bundler
+from repro.core.session import ReadSession, verdict_for
 from repro.errors import ConfigurationError, ProtocolError, ServerBusy
-from repro.faults.health import HealthTracker
-from repro.protocol.memclient import MemcachedConnection
+from repro.faults.health import HealthTracker, believed_dead
 from repro.protocol.retry import RetryPolicy, call_with_retries
 from repro.types import Request
 
@@ -89,21 +93,6 @@ def _request_instruments(metrics, path: str) -> dict | None:
     }
 
 
-def _record_outcome(
-    instruments: dict | None, outcome: "MultiGetOutcome", elapsed: float
-) -> None:
-    """Fold one finished multi-get into the per-request instruments."""
-    if instruments is None:
-        return
-    instruments["latency"].observe(elapsed)
-    instruments["degraded" if (outcome.missing or outcome.deadline_hit) else "ok"].inc()
-    instruments["served"].inc(len(outcome.values))
-    instruments["missing"].inc(len(outcome.missing))
-    instruments["retries"].inc(outcome.retries)
-    if outcome.deadline_hit:
-        instruments["deadline"].inc()
-
-
 @dataclass(slots=True)
 class MultiGetOutcome:
     """Result of one RnB multi-get."""
@@ -121,18 +110,27 @@ class MultiGetOutcome:
     #: membership changes committed from this request's dead verdicts
     membership_commits: int = 0
     #: the per-request deadline expired before every key was fetched
-    #: (async path only; the request degraded instead of failing)
+    #: (the request degraded instead of failing)
     deadline_hit: bool = False
-    #: BUSY sheds observed while serving this request (async path only)
+    #: BUSY sheds observed while serving this request
     busy_sheds: int = 0
 
 
-class RnBProtocolClient:
-    """Replicate-and-Bundle client over live memcached connections."""
+class WireReadPath:
+    """What the sync and async wire clients share around the read session.
+
+    Construction and validation, the health / breaker / membership /
+    metrics / tracing calls around each fetch, and opening and closing a
+    :class:`ReadSession` for one ``get_multi``.  The subclasses add only
+    their I/O: how a fetch, a wave and a write-back are sent.
+    """
+
+    #: the ``path`` label of this client's request metrics
+    _path = "live"
 
     def __init__(
         self,
-        connections: dict[int, MemcachedConnection],
+        connections: dict,
         placer: ReplicaPlacer,
         *,
         bundler: Bundler | None = None,
@@ -191,83 +189,74 @@ class RnBProtocolClient:
                 self.health = HealthTracker(placer.n_servers)
             breakers.ensure_capacity(placer.n_servers)
             self.health.add_observer(breakers)
+        #: lifetime BUSY sheds observed (the loadgen's shed counter)
+        self.busy_sheds = 0
+        #: topology epoch of this client's last request: a placer epoch
+        #: moved since then lets a short request re-plan once
         self.seen_epoch: int | None = getattr(placer, "epoch", None)
         #: optional repro.obs wiring: a MetricsRegistry feeds the
-        #: ``path="live"`` request families (docs/OBSERVABILITY.md) and a
-        #: Tracer records request -> plan/txn spans on the wall clock
+        #: ``path`` request families (docs/OBSERVABILITY.md) and a Tracer
+        #: records request -> plan/txn spans on the wall clock
         self._tracer = tracer
         #: the registry itself stays public so satellite layers (the
         #: consistency stack, atomic_update/read_repair instrumentation)
         #: can register their own families on it
         self.metrics = metrics
-        self._metrics = _request_instruments(metrics, "live")
+        self._metrics = _request_instruments(metrics, self._path)
         #: id carried in this client's version stamps (tiebreak between
         #: concurrent writers; see repro.consistency.version)
         self.writer_id = writer_id
-        self._cons_store = None
-        self._cons_clock = None
-        self._cons_reader = None
-        self._cons_writers: dict = {}
 
-    # -- fault plumbing ------------------------------------------------------
+    # -- around each fetch ---------------------------------------------------
 
-    def _fetch(
-        self, sid: int, keys, counters: dict | None = None, parent=None
-    ) -> dict:
-        """One server's multi-get under the retry policy + health tracking.
+    def _believed_dead(self) -> frozenset[int]:
+        return believed_dead(self.health, self.breakers)
 
-        If the connection itself already retries (it was built with its
-        own policy), the client does not retry on top — attempts would
-        compound to ``(max_retries+1)^2`` otherwise.
-        """
-        conn = self.connections[sid]
-        span = (
-            self._tracer.start("txn", parent=parent, server=sid, n_keys=len(keys))
-            if self._tracer is not None
-            else None
-        )
+    def _txn_span(self, sid: int, keys, parent):
+        if self._tracer is None:
+            return None
+        return self._tracer.start("txn", parent=parent, server=sid, n_keys=len(keys))
 
-        try:
-            if self.retry_policy is None or getattr(conn, "policy", None) is not None:
-                got = conn.get_multi(keys)
-            else:
+    def _use_retries(self, conn) -> bool:
+        """Retry at the client unless the connection retries itself —
+        attempts would compound to ``(max_retries+1)^2`` otherwise."""
+        return self.retry_policy is not None and getattr(conn, "policy", None) is None
 
-                def _on_retry(attempt_no, exc):
-                    if counters is not None:
-                        counters["retries"] = counters.get("retries", 0) + 1
-                    if self.health is not None:
-                        self.health.record_error(sid)
-
-                got = call_with_retries(
-                    lambda: conn.get_multi(keys),
-                    self.retry_policy,
-                    rng=self.rng,
-                    sleep=self.sleep,
-                    on_retry=_on_retry,
-                )
-        except ServerBusy:
-            # backpressure shed (SERVER_ERROR busy): the server is alive,
-            # just overloaded — trip breakers, never the health tracker
-            if self.breakers is not None:
-                self.breakers.record_failure(sid)
-            if self._metrics is not None:
-                self._metrics["busy"].inc()
-            if span is not None:
-                self._tracer.finish(span, outcome="busy")
-            raise
-        except FAILOVER_ERRORS:
+    def _on_retry(self, sid: int, counters: dict | None):
+        def on_retry(attempt_no, exc):
+            if counters is not None:
+                counters["retries"] = counters.get("retries", 0) + 1
             if self.health is not None:
                 self.health.record_error(sid)
-            if self._propose_if_dead(sid) and counters is not None:
-                counters["commits"] = counters.get("commits", 0) + 1
-            if span is not None:
-                self._tracer.finish(span, outcome="error")
-            raise
+
+        return on_retry
+
+    def _fetch_ok(self, sid: int, span) -> None:
         if self.health is not None:
             self.health.record_success(sid)
         if span is not None:
             self._tracer.finish(span, outcome="ok")
-        return got
+
+    def _fetch_failed(self, sid: int, exc, counters: dict | None, span) -> None:
+        if isinstance(exc, ServerBusy):
+            # backpressure shed (SERVER_ERROR busy): the server is alive,
+            # just overloaded — trip breakers, never the health tracker
+            self.busy_sheds += 1
+            if counters is not None:
+                counters["busy"] = counters.get("busy", 0) + 1
+            if self.breakers is not None:
+                self.breakers.record_failure(sid)
+            if self._metrics is not None:
+                self._metrics["busy"].inc()
+            outcome = "busy"
+        else:
+            if self.health is not None:
+                self.health.record_error(sid)
+            if self._propose_if_dead(sid) and counters is not None:
+                counters["commits"] = counters.get("commits", 0) + 1
+            outcome = "error"
+        if span is not None:
+            self._tracer.finish(span, outcome=outcome)
 
     def _propose_if_dead(self, sid: int) -> bool:
         """Promote a health "dead" verdict into a membership proposal.
@@ -280,6 +269,100 @@ class RnBProtocolClient:
         if self.health.state(sid) != "dead":
             return False
         return self.membership.propose_removal(sid, source=self)
+
+    # -- one multi-get ---------------------------------------------------------
+
+    def _open(self, keys: tuple, limit_fraction: float | None):
+        """Plan ``keys`` and open the read session: ``(session, span)``."""
+        req_span = (
+            self._tracer.start("request", n_keys=len(keys))
+            if self._tracer is not None
+            else None
+        )
+        if self.breakers is not None:
+            self.breakers.advance()
+        request = Request(items=keys, limit_fraction=limit_fraction)
+        plan = self.bundler.plan(request, exclude=self._believed_dead() or None)
+        if req_span is not None:
+            self._tracer.finish(
+                self._tracer.start(
+                    "plan", parent=req_span, n_txns=len(plan.transactions)
+                )
+            )
+        session = ReadSession(
+            plan,
+            self.bundler,
+            epoch=self.seen_epoch,
+            believed_dead=self._believed_dead,
+        )
+        return session, req_span
+
+    def _close(
+        self,
+        outcome: MultiGetOutcome,
+        session: ReadSession,
+        counters: dict,
+        started: float,
+        req_span,
+    ) -> MultiGetOutcome:
+        """Fill ``outcome`` from the finished session and fold it into
+        the per-request instruments."""
+        self.seen_epoch = getattr(self.placer, "epoch", None)
+        outcome.transactions = session.transactions
+        outcome.second_round_transactions = session.second_round
+        outcome.misses_repaired = session.repaired
+        outcome.missing = session.missing
+        outcome.failed_servers = tuple(sorted(session.failed))
+        outcome.retries = counters.get("retries", 0)
+        outcome.busy_sheds = counters.get("busy", 0)
+        outcome.epoch = self.seen_epoch
+        outcome.membership_commits = counters.get("commits", 0)
+        m = self._metrics
+        if m is not None:
+            m["latency"].observe(time.perf_counter() - started)
+            m["degraded" if (outcome.missing or outcome.deadline_hit) else "ok"].inc()
+            m["served"].inc(len(outcome.values))
+            m["missing"].inc(len(outcome.missing))
+            m["retries"].inc(outcome.retries)
+            if outcome.deadline_hit:
+                m["deadline"].inc()
+        if req_span is not None:
+            self._tracer.finish(
+                req_span,
+                n_missing=len(outcome.missing),
+                deadline_hit=outcome.deadline_hit,
+            )
+        return outcome
+
+
+class RnBProtocolClient(WireReadPath):
+    """Replicate-and-Bundle client over live memcached connections."""
+
+    #: the versioned read/write stack, built on first use
+    _cons_store = _cons_clock = _cons_reader = None
+
+    def _fetch(
+        self, sid: int, keys, counters: dict | None = None, parent=None
+    ) -> dict:
+        """One server's multi-get under the retry policy + health tracking."""
+        conn = self.connections[sid]
+        span = self._txn_span(sid, keys, parent)
+        try:
+            if self._use_retries(conn):
+                got = call_with_retries(
+                    lambda: conn.get_multi(keys),
+                    self.retry_policy,
+                    rng=self.rng,
+                    sleep=self.sleep,
+                    on_retry=self._on_retry(sid, counters),
+                )
+            else:
+                got = conn.get_multi(keys)
+        except FAILOVER_ERRORS as exc:
+            self._fetch_failed(sid, exc, counters, span)
+            raise
+        self._fetch_ok(sid, span)
+        return got
 
     # -- write path --------------------------------------------------------
 
@@ -306,6 +389,7 @@ class RnBProtocolClient:
             return
         from repro.consistency import VersionClock, VersionedReader, WireStore
 
+        self._cons_writers: dict = {}
         self._cons_store = WireStore(self.connections, self.placer)
         self._cons_clock = VersionClock(
             self.writer_id, epoch_fn=lambda: getattr(self.placer, "epoch", 0)
@@ -366,152 +450,35 @@ class RnBProtocolClient:
         if not keys:
             return MultiGetOutcome()
         started = time.perf_counter()
-        req_span = (
-            self._tracer.start("request", n_keys=len(keys))
-            if self._tracer is not None
-            else None
-        )
-        request = Request(items=keys, limit_fraction=limit_fraction)
-        exclude = self.health.exclusions() if self.health is not None else frozenset()
-        if self.breakers is not None:
-            self.breakers.advance()
-            exclude = exclude | self.breakers.tripped()
-        plan = self.bundler.plan(request, exclude=exclude or None)
-        if req_span is not None:
-            self._tracer.finish(
-                self._tracer.start(
-                    "plan", parent=req_span, n_txns=len(plan.transactions)
-                )
-            )
-
+        session, req_span = self._open(keys, limit_fraction)
         counters: dict[str, int] = {}
         outcome = MultiGetOutcome()
-        failed: set[int] = set()
-        missed_primary: dict[str, int] = {}
-        for txn in plan.transactions:
-            asked = (*txn.primary, *txn.hitchhikers)
-            try:
-                got = self._fetch(txn.server, asked, counters, parent=req_span)
-            except FAILOVER_ERRORS:
-                # dead server: every primary becomes a miss to repair from
-                # the item's surviving replicas
-                failed.add(txn.server)
-                for key in txn.primary:
-                    missed_primary[key] = txn.server
-                continue
-            outcome.transactions += 1
-            outcome.values.update(got)
-            for key in txn.primary:
-                if key not in got:
-                    missed_primary[key] = txn.server
-
-        # Repair waves: fetch still-missing items from their remaining
-        # replicas — the distinguished copy first, then (only if servers
-        # have failed or evicted) the other replicas.  Each wave bundles
-        # by server; a key is given up only once every live replica has
-        # been tried.
-        required = request.required_items
-        pending = {k for k in missed_primary if k not in outcome.values}
-        tried: dict[str, set[int]] = {
-            k: {missed_primary[k]} for k in pending
-        }
-        # LIMIT plans cover only `required` items; if failures leave the
-        # quota unreachable from the planned set, recruit the unplanned
-        # request keys as substitutes (any subset satisfies a LIMIT)
-        unplanned = [
-            k for k in keys if k not in outcome.values and k not in missed_primary
-        ]
-        while len(outcome.values) < required:
-            groups: dict[int, list[str]] = defaultdict(list)
-            # sorted, not set order: which keys a LIMIT quota keeps must
-            # not depend on PYTHONHASHSEED
-            for key in sorted(pending):
-                candidates = [
-                    s
-                    for s in self.placer.servers_for(key)
-                    if s not in failed and s not in tried[key]
-                ]
-                if not candidates:
-                    pending.discard(key)  # exhausted: genuinely missing
-                    continue
-                groups[candidates[0]].append(key)
-            if not groups:
-                if unplanned:
-                    for key in unplanned:
-                        pending.add(key)
-                        tried[key] = set()
-                    unplanned = []
-                    continue
-                break
-            for sid, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-                if len(outcome.values) >= required:
-                    break
-                if request.limit_fraction is not None:
-                    group = group[: required - len(outcome.values)]
-                try:
-                    got = self._fetch(sid, group, counters, parent=req_span)
-                except FAILOVER_ERRORS:
-                    failed.add(sid)
-                    continue
-                outcome.transactions += 1
-                outcome.second_round_transactions += 1
-                for key in group:
-                    tried[key].add(sid)
-                outcome.values.update(got)
-                outcome.misses_repaired += len(got)
-                for key in got:
-                    pending.discard(key)
-                if self.write_back:
-                    for key, value in got.items():
-                        target = missed_primary.get(key)
-                        if target is not None and target not in failed:
-                            try:
-                                self.connections[target].set(key, value)
-                            except FAILOVER_ERRORS:
-                                failed.add(target)
-
-        # Epoch refresh: if this request's dead verdicts (or another
-        # client's) moved the topology mid-flight, give still-missing
-        # keys one re-plan round over the NEW view — promoted replicas
-        # and repair copies may hold them even though every replica of
-        # the old view was exhausted.
-        epoch_now = getattr(self.placer, "epoch", None)
-        still_missing = [k for k in keys if k not in outcome.values]
-        if (
-            still_missing
-            and epoch_now is not None
-            and epoch_now != self.seen_epoch
-            and len(outcome.values) < required
-        ):
-            replan = self.bundler.plan(Request(items=tuple(still_missing)))
-            for txn in replan.transactions:
-                if txn.server in failed:
-                    continue
+        values = outcome.values
+        while wave := session.next_wave():
+            for fetch in wave:
                 try:
                     got = self._fetch(
-                        txn.server,
-                        (*txn.primary, *txn.hitchhikers),
+                        fetch.server,
+                        fetch.primary + fetch.hitchhikers,
                         counters,
                         parent=req_span,
                     )
-                except FAILOVER_ERRORS:
-                    failed.add(txn.server)
+                except FAILOVER_ERRORS as exc:
+                    session.record(fetch, verdict_for(exc))
                     continue
-                outcome.transactions += 1
-                outcome.second_round_transactions += 1
-                outcome.values.update(got)
-                outcome.misses_repaired += len(got)
-        self.seen_epoch = epoch_now
-
-        outcome.missing = tuple(k for k in keys if k not in outcome.values)
-        outcome.failed_servers = tuple(sorted(failed))
-        outcome.retries = counters.get("retries", 0)
-        outcome.epoch = epoch_now
-        outcome.membership_commits = counters.get("commits", 0)
-        _record_outcome(self._metrics, outcome, time.perf_counter() - started)
-        if req_span is not None:
-            self._tracer.finish(req_span, n_missing=len(outcome.missing))
-        return outcome
+                session.record(fetch, got)
+                values.update(got)
+                if self.write_back and not session.round_one:
+                    # repair the first-picked replica with the value
+                    for key, value in got.items():
+                        target = session.writeback_target(key)
+                        if target is None:
+                            continue
+                        try:
+                            self.connections[target].set(key, value)
+                        except FAILOVER_ERRORS:
+                            session.mark_failed(target)
+        return self._close(outcome, session, counters, started, req_span)
 
     def get(self, key: str) -> bytes | None:
         """Single-item get — from the distinguished copy (paper section

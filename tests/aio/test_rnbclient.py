@@ -208,6 +208,15 @@ class TestBusySheds:
 
 
 class TestConstructorContract:
+    def test_epoched_placer_needs_only_its_view(self):
+        # like the sync client: connections cover the view's live servers
+        from repro.membership import EpochedPlacer
+
+        placer = EpochedPlacer("rch", 4, 2, seed=5, vnodes=32)
+        placer.install_view(placer.view.without(3))
+        client = AsyncRnBClient({s: object() for s in (0, 1, 2)}, placer)
+        assert client.seen_epoch == placer.epoch
+
     def test_connections_must_cover_the_placer(self):
         from repro.errors import ConfigurationError
 

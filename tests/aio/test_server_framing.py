@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aio.server import AsyncMemcachedServer
-from repro.protocol.codec import Command, FrameBuffer, encode_command
+from repro.errors import ProtocolError
+from repro.protocol.codec import MAX_ITEM_SIZE, Command, FrameBuffer, encode_command
 from repro.protocol.memserver import MemcachedServer
 
 KEYS = ["a", "b", "c", "key:é"]
@@ -89,8 +91,30 @@ def test_any_split_gives_identical_replies(cmds, data):
 
 
 def test_malformed_command_answers_error_and_closes():
-    out = asyncio.run(_serve([b"get a\r\n", b"bogus x\r\nget a\r\n"]))
-    assert out == b"END\r\nERROR\r\n"
+    for bad in (
+        b"bogus x\r\n",
+        b"set k x 0 5\r\n",
+        b"touch k abc\r\n",
+        b"incr k abc\r\n",
+        b"cas k 0 0 5 zz\r\n",
+    ):
+        out = asyncio.run(_serve([b"get a\r\n", bad + b"get a\r\n"]))
+        assert out == b"END\r\nERROR\r\n", bad
+
+
+def test_oversized_data_block_refused_on_its_header():
+    """A declared length past MAX_ITEM_SIZE is refused as soon as the
+    header line parses — no byte of the block is waited for."""
+    header = f"set k 0 0 {2_000_000_000}\r\n".encode()
+    frames = FrameBuffer()
+    frames.feed(header)
+    with pytest.raises(ProtocolError):
+        frames.next_commands()
+    assert asyncio.run(_serve([b"get a\r\n", header])) == b"END\r\nERROR\r\n"
+    at_limit = f"set k 0 0 {MAX_ITEM_SIZE}\r\n".encode()
+    frames = FrameBuffer()
+    frames.feed(at_limit)
+    assert frames.next_commands() == []  # legal: waits for the block
 
 
 def test_large_data_block_is_joined_once():

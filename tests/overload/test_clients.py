@@ -153,10 +153,13 @@ class TestProtocolClient:
     def test_busy_server_fails_over_to_replicas(self, live_setup):
         servers, client, board, keys = live_setup
         servers[0].admission = never_admit()
+        sheds = 0
         for start in range(0, 60, 10):
             out = client.get_multi(keys[start : start + 10])
             assert not out.missing
+            sheds += out.busy_sheds
         assert servers[0].stats["busy_rejections"] > 0
+        assert sheds == client.busy_sheds > 0  # counted per request too
 
     def test_sheds_trip_breaker_but_not_health(self, live_setup):
         servers, client, board, keys = live_setup
